@@ -9,6 +9,8 @@
 #   build-asan/    -DERIS_SANITIZE=address; full suite with ERIS_TIER1_ASAN=1,
 #                  always at least the byte-parsing suites (recovery replay +
 #                  storage-fault fuzzers)
+#   build-perfbench/  the wall-clock benchmark program (perfbench/), built
+#                  only, so an engine API change that breaks it fails here
 #
 # Environment knobs:
 #   JOBS=N                parallelism (default: nproc)
@@ -61,6 +63,10 @@ echo "=== tier-1: allocation-profile smoke (bench_ext_alloc --smoke) ==="
 # state, counted through their named injection points. Emits
 # BENCH_alloc.json with the per-path profile and THP coverage.
 ./build/bench/bench_ext_alloc --smoke
+
+echo "=== tier-1: benchmark build (perfbench/, build only) ==="
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j"$JOBS" --target eris_perfbench
 
 echo "=== tier-1: scalar-fallback build (-DERIS_ENABLE_AVX2=OFF) ==="
 cmake -B build-scalar -S . -DERIS_ENABLE_AVX2=OFF \

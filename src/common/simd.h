@@ -69,6 +69,30 @@ inline void ScanSumCountScalar(const uint64_t* data, size_t n, uint64_t lo,
   *count = c;
 }
 
+/// Rows, sum, min and max of the elements in [lo, hi]. With no match,
+/// min/max keep their identities (~0 and 0), so partial results merge with
+/// plain std::min/std::max.
+struct ScanStatsResult {
+  uint64_t count = 0;
+  uint64_t sum = 0;
+  uint64_t min = ~uint64_t{0};
+  uint64_t max = 0;
+};
+
+inline ScanStatsResult ScanStatsScalar(const uint64_t* data, size_t n,
+                                       uint64_t lo, uint64_t hi) {
+  ScanStatsResult r;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t v = data[i];
+    if (v < lo || v > hi) continue;
+    ++r.count;
+    r.sum += v;
+    r.min = v < r.min ? v : r.min;
+    r.max = v > r.max ? v : r.max;
+  }
+  return r;
+}
+
 /// Writes base + i for every matching element into `out` (which must have
 /// room for at least the number of matches); returns the match count.
 inline uint64_t ScanCollectScalar(const uint64_t* data, size_t n, uint64_t lo,
@@ -193,6 +217,56 @@ __attribute__((target("avx2"))) inline void ScanSumCountAvx2(
   }
   *sum = s;
   *count = c;
+}
+
+/// Same shape as ScanSumCountAvx2; min/max run in the biased (signed)
+/// domain, with non-matching lanes blended to the identities.
+__attribute__((target("avx2"))) inline ScanStatsResult ScanStatsAvx2(
+    const uint64_t* data, size_t n, uint64_t lo, uint64_t hi) {
+  const __m256i lo_b = internal::BiasU64(_mm256_set1_epi64x(
+      static_cast<long long>(lo)));
+  const __m256i hi_b = internal::BiasU64(_mm256_set1_epi64x(
+      static_cast<long long>(hi)));
+  // Biased identities: ~0 -> INT64_MAX (for min), 0 -> INT64_MIN (for max).
+  const __m256i min_id = _mm256_set1_epi64x(0x7fffffffffffffffll);
+  const __m256i max_id = internal::BiasU64(_mm256_setzero_si256());
+  __m256i sum_acc = _mm256_setzero_si256();
+  __m256i cnt_acc = _mm256_setzero_si256();
+  __m256i min_acc = min_id;
+  __m256i max_acc = max_id;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
+    __m256i vb = internal::BiasU64(v);
+    __m256i mask = internal::RangeMaskU64(vb, lo_b, hi_b);
+    sum_acc = _mm256_add_epi64(sum_acc, _mm256_and_si256(mask, v));
+    cnt_acc = _mm256_sub_epi64(cnt_acc, mask);
+    __m256i lo_cand = _mm256_blendv_epi8(min_id, vb, mask);
+    __m256i hi_cand = _mm256_blendv_epi8(max_id, vb, mask);
+    min_acc = _mm256_blendv_epi8(min_acc, lo_cand,
+                                 _mm256_cmpgt_epi64(min_acc, lo_cand));
+    max_acc = _mm256_blendv_epi8(max_acc, hi_cand,
+                                 _mm256_cmpgt_epi64(hi_cand, max_acc));
+  }
+  ScanStatsResult r;
+  r.sum = internal::HorizontalSumU64(sum_acc);
+  r.count = internal::HorizontalSumU64(cnt_acc);
+  alignas(32) uint64_t mins[4];
+  alignas(32) uint64_t maxs[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(mins),
+                     internal::BiasU64(min_acc));
+  _mm256_store_si256(reinterpret_cast<__m256i*>(maxs),
+                     internal::BiasU64(max_acc));
+  for (int lane = 0; lane < 4; ++lane) {
+    r.min = mins[lane] < r.min ? mins[lane] : r.min;
+    r.max = maxs[lane] > r.max ? maxs[lane] : r.max;
+  }
+  ScanStatsResult tail = ScanStatsScalar(data + i, n - i, lo, hi);
+  r.count += tail.count;
+  r.sum += tail.sum;
+  r.min = tail.min < r.min ? tail.min : r.min;
+  r.max = tail.max > r.max ? tail.max : r.max;
+  return r;
 }
 
 __attribute__((target("avx2"))) inline uint64_t ScanSumAvx2(
@@ -356,6 +430,14 @@ inline void ScanSumCount(const uint64_t* data, size_t n, uint64_t lo,
   }
 #endif
   ScanSumCountScalar(data, n, lo, hi, sum, count);
+}
+
+inline ScanStatsResult ScanStats(const uint64_t* data, size_t n, uint64_t lo,
+                                 uint64_t hi) {
+#if ERIS_SIMD_AVX2
+  if (HaveAvx2()) return ScanStatsAvx2(data, n, lo, hi);
+#endif
+  return ScanStatsScalar(data, n, lo, hi);
 }
 
 inline uint64_t ScanCollect(const uint64_t* data, size_t n, uint64_t lo,

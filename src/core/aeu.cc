@@ -60,6 +60,7 @@ Aeu::Aeu(routing::AeuId id, Engine* engine)
       endpoint_(&engine->router(), id, engine->NodeOfAeu(id),
                 &engine->memory().manager(engine->NodeOfAeu(id))),
       sel_(&engine->memory().manager(engine->NodeOfAeu(id))),
+      snapshot_view_(&engine->memory().manager(engine->NodeOfAeu(id))),
       mat_idx_(&engine->memory().manager(engine->NodeOfAeu(id))),
       join_run_(&engine->memory().manager(engine->NodeOfAeu(id))),
       join_out_(&engine->memory().manager(engine->NodeOfAeu(id))),
@@ -247,6 +248,9 @@ void Aeu::ProcessGroups() {
     if (g.commands.empty()) continue;
     Stopwatch watch;
     group_ops_ = 0;
+    group_stream_bytes_ = 0;
+    group_extra_words_ = 0;
+    group_index_visits_ = 0;
     group_modeled_ns_ = 0;
     switch (g.type) {
       case routing::CommandType::kLookupBatch:
@@ -268,15 +272,6 @@ void Aeu::ProcessGroups() {
       case routing::CommandType::kScanIndexRange:
         ProcessScanIndexGroup(g);
         break;
-      case routing::CommandType::kScanStats:
-        ProcessScanStatsGroup(g);
-        break;
-      case routing::CommandType::kScanMaterialize:
-        ProcessScanMaterializeGroup(g);
-        break;
-      case routing::CommandType::kJoinProbe:
-        ProcessJoinProbeGroup(g);
-        break;
       case routing::CommandType::kPipeline:
         ProcessPipelineGroup(g);
         break;
@@ -296,6 +291,7 @@ void Aeu::ProcessGroups() {
         ERIS_CHECK(false) << "unexpected data command "
                           << routing::CommandTypeName(g.type);
     }
+    ChargeGroupStream();
     stats_.commands_processed += g.commands.size();
     double exec_ns = engine_->sim_enabled()
                          ? group_modeled_ns_
@@ -727,16 +723,9 @@ void Aeu::ProcessAppendGroup(const Group& g) {
     }
   }
   group_ops_ += total_values;
+  group_stream_bytes_ += total_values * sizeof(storage::Value);
   engine_->monitor().RecordSize(id_, g.object, part->tuple_count(),
                                 part->memory_bytes());
-  if (engine_->sim_enabled()) {
-    uint64_t bytes = total_values * sizeof(storage::Value);
-    sim::ResourceUsage& ru = engine_->resource_usage();
-    double ns = engine_->cost_model().StreamNs(node_, node_, bytes);
-    ru.AddComputeNs(id_, ns);
-    ru.AddMemoryTraffic(node_, node_, bytes);
-    group_modeled_ns_ += ns;
-  }
 }
 
 void Aeu::ProcessScanColumnGroup(const Group& g) {
@@ -765,84 +754,126 @@ void Aeu::ProcessScanColumnGroup(const Group& g) {
                       : column->VisibleSize(p.snapshot_ts);
     scan_jobs_.push_back(job);
   }
-  // Scan sharing: one physical pass answers every coalesced command, with
-  // MVCC snapshots preserving each command's isolation.
+  // Scan sharing: one physical pass answers every coalesced command —
+  // whatever its output kind — with MVCC snapshots preserving each
+  // command's isolation. Segment-at-a-time: each 512 KiB segment is
+  // streamed once and every job's kernel runs over it while it is
+  // cache-resident, clamped to the job's visible prefix.
   const bool fast = column->undo_chains() == 0;
   uint64_t max_visible = 0;
   for (const ScanJob& j : scan_jobs_) max_visible = std::max(max_visible, j.visible);
+  const storage::ColumnStore& col = column->column();
+  constexpr uint64_t kCap = storage::ColumnStore::kSegmentCapacity;
   uint64_t streamed_bytes = 0;
-  if (fast) {
-    // Segment-at-a-time: each 512 KiB segment is streamed once and every
-    // job's vectorized kernel runs over it while it is cache-resident,
-    // clamped to the job's MVCC visible prefix. Zone maps let selective
-    // jobs skip whole segments without touching their payload.
-    const storage::ColumnStore& col = column->column();
-    constexpr uint64_t kCap = storage::ColumnStore::kSegmentCapacity;
-    for (size_t s = 0; s * kCap < max_visible; ++s) {
-      std::span<const storage::Value> seg = col.Segment(s);
-      const storage::TupleId base = s * kCap;
-      const storage::ZoneMap& z = col.zone(s);
-      uint64_t seg_streamed = 0;
-      for (ScanJob& j : scan_jobs_) {
-        if (base >= j.visible) continue;
-        uint64_t m = std::min<uint64_t>(seg.size(), j.visible - base);
+  for (size_t s = 0; s * kCap < max_visible; ++s) {
+    std::span<const storage::Value> seg = col.Segment(s);
+    const storage::TupleId base = s * kCap;
+    const storage::ZoneMap& z = col.zone(s);
+    uint64_t seg_streamed = 0;
+    for (ScanJob& j : scan_jobs_) {
+      if (base >= j.visible) continue;
+      uint64_t m = std::min<uint64_t>(seg.size(), j.visible - base);
+      const storage::Value* data = seg.data();
+      bool covered = false;
+      if (fast) {
+        // Zone maps let selective jobs skip whole segments without
+        // touching their payload.
         if (z.Excludes(j.params.lo, j.params.hi)) {
           ++stats_.zone_segments_skipped;
           continue;
         }
-        if (z.CoveredBy(j.params.lo, j.params.hi)) {
-          j.sum += simd::SumAll(seg.data(), m);
-          j.rows += m;
-        } else {
-          uint64_t sum = 0;
-          uint64_t rows = 0;
-          simd::ScanSumCount(seg.data(), m, j.params.lo, j.params.hi, &sum,
-                             &rows);
-          j.sum += sum;
-          j.rows += rows;
+        covered = z.CoveredBy(j.params.lo, j.params.hi);
+      } else {
+        // MVCC fallback: a versioned column reads the job's snapshot of
+        // the segment through the undo chains, then runs the same kernels.
+        snapshot_view_.resize(m);
+        for (uint64_t i = 0; i < m; ++i) {
+          snapshot_view_[i] = column->Read(base + i, j.params.snapshot_ts);
         }
-        seg_streamed = std::max(seg_streamed, m * sizeof(storage::Value));
+        data = snapshot_view_.data();
       }
-      streamed_bytes += seg_streamed;
+      ScanSegment(&j, data, m, covered);
+      seg_streamed = std::max(seg_streamed, m * sizeof(storage::Value));
     }
-  } else {
-    // Versioned columns keep the tuple-at-a-time undo-chain path.
-    for (storage::TupleId tid = 0; tid < max_visible; ++tid) {
-      for (ScanJob& j : scan_jobs_) {
-        if (tid >= j.visible) continue;
-        storage::Value v = column->Read(tid, j.params.snapshot_ts);
-        if (v >= j.params.lo && v <= j.params.hi) {
-          ++j.rows;
-          j.sum += v;
-        }
-      }
-    }
-    streamed_bytes = max_visible * sizeof(storage::Value);
+    streamed_bytes += seg_streamed;
   }
   for (ScanJob& j : scan_jobs_) {
-    if (j.sink != nullptr) {
+    if (j.sink == nullptr) continue;
+    if (j.params.output == routing::ScanOutput::kStats) {
+      j.sink->OnScanStats(j.rows, j.sum, j.min, j.max);
+    } else {
       j.sink->OnScanPartial(j.rows, j.sum);
-      j.sink->OnCommandComplete(1);
+      if (j.routed > 0) j.sink->OnScanRouted(j.routed);
     }
+    j.sink->OnCommandComplete(1);
   }
   if (scan_jobs_.size() > 1) stats_.scans_coalesced += scan_jobs_.size() - 1;
   group_ops_ += scan_jobs_.size();
   engine_->monitor().RecordSize(id_, g.object, part->tuple_count(),
                                 part->memory_bytes());
-  if (engine_->sim_enabled()) {
-    sim::ResourceUsage& ru = engine_->resource_usage();
-    // Segments every job skipped via its zone map are never streamed, so
-    // they cost neither bandwidth nor time in the model.
-    uint64_t bytes = streamed_bytes;
-    // The shared pass streams the column once regardless of the number of
-    // coalesced commands (the benefit of scan sharing); extra predicates
-    // cost a little CPU each.
-    double ns = engine_->cost_model().StreamNs(node_, node_, bytes) +
-                0.25 * static_cast<double>(bytes / 8) *
-                    static_cast<double>(scan_jobs_.size() - 1);
-    ru.AddComputeNs(id_, ns);
-    ru.AddMemoryTraffic(node_, node_, bytes);
-    group_modeled_ns_ += ns;
+  // Segments every job skipped via its zone map are never streamed, so
+  // they cost neither bandwidth nor time in the model. The shared pass
+  // streams the column once regardless of the number of coalesced
+  // commands (the benefit of scan sharing); extra predicates cost a
+  // little CPU each.
+  group_stream_bytes_ += streamed_bytes;
+  if (!scan_jobs_.empty()) {
+    group_extra_words_ += streamed_bytes / sizeof(storage::Value) *
+                          (scan_jobs_.size() - 1);
+  }
+}
+
+void Aeu::ScanSegment(ScanJob* job, const storage::Value* data, uint64_t m,
+                      bool covered) {
+  ScanJob& j = *job;
+  const routing::ScanParams& p = j.params;
+  switch (p.output) {
+    case routing::ScanOutput::kSum: {
+      if (covered) {
+        j.sum += simd::SumAll(data, m);
+        j.rows += m;
+        return;
+      }
+      uint64_t sum = 0;
+      uint64_t rows = 0;
+      simd::ScanSumCount(data, m, p.lo, p.hi, &sum, &rows);
+      j.sum += sum;
+      j.rows += rows;
+      return;
+    }
+    case routing::ScanOutput::kStats: {
+      // Zone maps are only bounds (Set widens them), so min and max come
+      // from the values even when the segment is covered.
+      simd::ScanStatsResult r = simd::ScanStats(data, m, p.lo, p.hi);
+      j.rows += r.count;
+      j.sum += r.sum;
+      j.min = std::min(j.min, r.min);
+      j.max = std::max(j.max, r.max);
+      return;
+    }
+    case routing::ScanOutput::kAppendTo:
+    case routing::ScanOutput::kLookupIn: {
+      // Route this segment's matches onward right away: appends land in
+      // the destination owners' local memory (NUMA-local
+      // materialization), lookups probe the index owners.
+      std::span<const storage::Value> matches{data, m};
+      if (!covered) {
+        sel_.resize(m);
+        uint32_t cnt = simd::FilterIndices(data, m, p.lo, p.hi, sel_.data());
+        scratch_values_.resize(cnt);
+        for (uint32_t i = 0; i < cnt; ++i) scratch_values_[i] = data[sel_[i]];
+        matches = scratch_values_;
+      }
+      if (matches.empty()) return;
+      j.rows += matches.size();
+      j.sum += simd::SumAll(matches.data(), matches.size());
+      j.routed += p.output == routing::ScanOutput::kAppendTo
+                      ? endpoint_.SendAppendBatch(p.target_object, matches,
+                                                  p.target_sink)
+                      : endpoint_.SendLookupBatch(p.target_object, matches,
+                                                  p.target_sink);
+      return;
+    }
   }
 }
 
@@ -872,136 +903,9 @@ void Aeu::ProcessScanIndexGroup(const Group& g) {
     }
   }
   group_ops_ += visited_total;
-  if (engine_->sim_enabled()) {
-    sim::ResourceUsage& ru = engine_->resource_usage();
-    const sim::CostModelParams& p = engine_->cost_model().params();
-    uint64_t bytes = visited_total * (sizeof(storage::Key) +
-                                      sizeof(storage::Value));
-    double ns = static_cast<double>(visited_total) * 2.0 * p.upper_hit_ns +
-                engine_->cost_model().StreamNs(node_, node_, bytes);
-    ru.AddComputeNs(id_, ns);
-    ru.AddMemoryTraffic(node_, node_, bytes);
-    group_modeled_ns_ += ns;
-  }
-}
-
-void Aeu::ProcessScanStatsGroup(const Group& g) {
-  storage::Partition* part = partition(g.object);
-  storage::MvccColumn* column = part->mvcc_column();
-  ERIS_CHECK(column != nullptr) << "stats scan on keyed object";
-  uint64_t scanned = 0;
-  for (const routing::CommandView& cmd : g.commands) {
-    routing::ScanParams p = cmd.PayloadAs<routing::ScanParams>()[0];
-    uint64_t visible = p.snapshot_ts == ~uint64_t{0}
-                           ? column->size()
-                           : column->VisibleSize(p.snapshot_ts);
-    uint64_t rows = 0;
-    uint64_t sum = 0;
-    storage::Value min = ~storage::Value{0};
-    storage::Value max = 0;
-    column->ScanSnapshot(p.snapshot_ts == ~uint64_t{0}
-                             ? engine_->oracle().ReadTs()
-                             : p.snapshot_ts,
-                         [&](storage::TupleId tid, storage::Value v) {
-                           if (tid >= visible) return;
-                           if (v < p.lo || v > p.hi) return;
-                           ++rows;
-                           sum += v;
-                           min = std::min(min, v);
-                           max = std::max(max, v);
-                         });
-    scanned += visible;
-    if (cmd.header.sink != nullptr) {
-      cmd.header.sink->OnScanStats(rows, sum, min, max);
-      cmd.header.sink->OnCommandComplete(1);
-    }
-  }
-  group_ops_ += g.commands.size();
-  if (engine_->sim_enabled()) {
-    uint64_t bytes = scanned * sizeof(storage::Value);
-    double ns = engine_->cost_model().StreamNs(node_, node_, bytes);
-    engine_->resource_usage().AddComputeNs(id_, ns);
-    engine_->resource_usage().AddMemoryTraffic(node_, node_, bytes);
-    group_modeled_ns_ += ns;
-  }
-}
-
-void Aeu::ProcessScanMaterializeGroup(const Group& g) {
-  storage::Partition* part = partition(g.object);
-  storage::MvccColumn* column = part->mvcc_column();
-  ERIS_CHECK(column != nullptr) << "materialize scan on keyed object";
-  for (const routing::CommandView& cmd : g.commands) {
-    routing::MaterializeParams p =
-        cmd.PayloadAs<routing::MaterializeParams>()[0];
-    uint64_t snapshot = p.scan.snapshot_ts == ~uint64_t{0}
-                            ? engine_->oracle().ReadTs()
-                            : p.scan.snapshot_ts;
-    scratch_values_.clear();
-    column->ScanSnapshot(snapshot, [&](storage::TupleId, storage::Value v) {
-      if (v >= p.scan.lo && v <= p.scan.hi) scratch_values_.push_back(v);
-    });
-    // Route the intermediate result onward: appends land in the
-    // destination owners' local memory (NUMA-local materialization). No
-    // sink: the caller synchronizes on Engine::Quiesce(), and the scan's
-    // own sink already reports the matched row count.
-    if (!scratch_values_.empty()) {
-      endpoint_.SendAppendBatch(p.dest_object, scratch_values_, nullptr);
-    }
-    if (cmd.header.sink != nullptr) {
-      cmd.header.sink->OnScanPartial(scratch_values_.size(), 0);
-      cmd.header.sink->OnCommandComplete(1);
-    }
-  }
-  group_ops_ += g.commands.size();
-  if (engine_->sim_enabled()) {
-    uint64_t bytes = column->size() * sizeof(storage::Value);
-    double ns = engine_->cost_model().StreamNs(node_, node_, bytes) *
-                static_cast<double>(g.commands.size());
-    engine_->resource_usage().AddComputeNs(id_, ns);
-    engine_->resource_usage().AddMemoryTraffic(node_, node_,
-                                               bytes * g.commands.size());
-    group_modeled_ns_ += ns;
-  }
-}
-
-void Aeu::ProcessJoinProbeGroup(const Group& g) {
-  storage::Partition* part = partition(g.object);
-  storage::MvccColumn* column = part->mvcc_column();
-  ERIS_CHECK(column != nullptr) << "join probe on keyed object";
-  for (const routing::CommandView& cmd : g.commands) {
-    routing::JoinProbeParams p =
-        cmd.PayloadAs<routing::JoinProbeParams>()[0];
-    uint64_t snapshot = p.filter.snapshot_ts == ~uint64_t{0}
-                            ? engine_->oracle().ReadTs()
-                            : p.filter.snapshot_ts;
-    scratch_keys_.clear();
-    column->ScanSnapshot(snapshot, [&](storage::TupleId, storage::Value v) {
-      if (v >= p.filter.lo && v <= p.filter.hi) scratch_keys_.push_back(v);
-    });
-    // Index-nested-loop join, data-oriented: the probe values become
-    // routed lookup batches against the index; results flow to the
-    // query's lookup sink.
-    if (!scratch_keys_.empty()) {
-      endpoint_.SendLookupBatch(p.index_object, scratch_keys_,
-                                p.lookup_sink);
-    }
-    if (cmd.header.sink != nullptr) {
-      // Report how many probes were issued so the caller can wait for the
-      // matching number of lookup completion units.
-      cmd.header.sink->OnScanPartial(scratch_keys_.size(), 0);
-      cmd.header.sink->OnCommandComplete(1);
-    }
-  }
-  group_ops_ += g.commands.size();
-  if (engine_->sim_enabled()) {
-    uint64_t bytes = column->size() * sizeof(storage::Value);
-    double ns = engine_->cost_model().StreamNs(node_, node_, bytes) *
-                static_cast<double>(g.commands.size());
-    engine_->resource_usage().AddComputeNs(id_, ns);
-    engine_->resource_usage().AddMemoryTraffic(node_, node_,
-                                               bytes * g.commands.size());
-    group_modeled_ns_ += ns;
-  }
+  group_index_visits_ += visited_total;
+  group_stream_bytes_ +=
+      visited_total * (sizeof(storage::Key) + sizeof(storage::Value));
 }
 
 // ---------------------------------------------------------------------------
@@ -1196,14 +1100,7 @@ void Aeu::ProcessPipelineGroup(const Group& g) {
   stats_.pipeline_filter2_bytes += f2_bytes;
   stats_.pipeline_agg_bytes += agg_bytes;
   group_ops_ += pipeline_jobs_.size();
-  if (engine_->sim_enabled()) {
-    sim::ResourceUsage& ru = engine_->resource_usage();
-    uint64_t bytes = f1_bytes + f2_bytes + agg_bytes;
-    double ns = engine_->cost_model().StreamNs(node_, node_, bytes);
-    ru.AddComputeNs(id_, ns);
-    ru.AddMemoryTraffic(node_, node_, bytes);
-    group_modeled_ns_ += ns;
-  }
+  group_stream_bytes_ += f1_bytes + f2_bytes + agg_bytes;
 }
 
 void Aeu::BuildLocalRun(storage::ObjectId object,
@@ -1303,14 +1200,7 @@ void Aeu::ProcessJoinScatterGroup(const Group& g) {
         cmd.header.sink->OnCommandComplete(1);
       }
     }
-    if (engine_->sim_enabled()) {
-      uint64_t bytes = join_run_.size() * sizeof(routing::KeyValue);
-      sim::ResourceUsage& ru = engine_->resource_usage();
-      double ns = engine_->cost_model().StreamNs(node_, node_, bytes);
-      ru.AddComputeNs(id_, ns);
-      ru.AddMemoryTraffic(node_, node_, bytes);
-      group_modeled_ns_ += ns;
-    }
+    group_stream_bytes_ += join_run_.size() * sizeof(routing::KeyValue);
   }
   group_ops_ += g.commands.size();
 }
@@ -1406,15 +1296,8 @@ void Aeu::ProcessJoinMergeGroup(const Group& g) {
         endpoint_.set_deadline_ns(0);
         stats_.join_boundary_lookups += join_keys_.size();
       }
-      if (engine_->sim_enabled()) {
-        uint64_t bytes = (stage->entries.size() + join_run_.size()) *
-                         sizeof(routing::KeyValue);
-        sim::ResourceUsage& ru = engine_->resource_usage();
-        double ns = engine_->cost_model().StreamNs(node_, node_, bytes);
-        ru.AddComputeNs(id_, ns);
-        ru.AddMemoryTraffic(node_, node_, bytes);
-        group_modeled_ns_ += ns;
-      }
+      group_stream_bytes_ += (stage->entries.size() + join_run_.size()) *
+                             sizeof(routing::KeyValue);
       stage->active = false;
       stage->entries.clear();
     }
@@ -1761,6 +1644,19 @@ void Aeu::ChargeLookupOps(storage::ObjectId object, uint64_t keys,
   ru.AddComputeNs(id_, cost.compute_ns);
   ru.AddMemoryTraffic(node_, node_, cost.dram_bytes);
   group_modeled_ns_ += cost.compute_ns;
+}
+
+void Aeu::ChargeGroupStream() {
+  if (!engine_->sim_enabled() || group_stream_bytes_ == 0) return;
+  const sim::CostModel& model = engine_->cost_model();
+  double ns = model.StreamNs(node_, node_, group_stream_bytes_) +
+              0.25 * static_cast<double>(group_extra_words_) +
+              static_cast<double>(group_index_visits_) * 2.0 *
+                  model.params().upper_hit_ns;
+  sim::ResourceUsage& ru = engine_->resource_usage();
+  ru.AddComputeNs(id_, ns);
+  ru.AddMemoryTraffic(node_, node_, group_stream_bytes_);
+  group_modeled_ns_ += ns;
 }
 
 void Aeu::ChargeRoutingCosts() {

@@ -170,9 +170,6 @@ class Aeu {
   void ProcessAppendGroup(const Group& g);
   void ProcessScanColumnGroup(const Group& g);
   void ProcessScanIndexGroup(const Group& g);
-  void ProcessScanStatsGroup(const Group& g);
-  void ProcessScanMaterializeGroup(const Group& g);
-  void ProcessJoinProbeGroup(const Group& g);
   void ProcessPipelineGroup(const Group& g);
   void ProcessJoinScatterGroup(const Group& g);
   void ProcessJoinStageGroup(const Group& g);
@@ -244,6 +241,9 @@ class Aeu {
   void ChargeLookupOps(storage::ObjectId object, uint64_t keys,
                        uint64_t nodes_touched);
   void ChargeRoutingCosts();
+  /// Charges the group's streamed bytes and extra CPU terms (the
+  /// group_* counters the handlers fill) to the cost model, once.
+  void ChargeGroupStream();
 
   Engine* engine_;
   routing::AeuId id_;
@@ -324,8 +324,15 @@ class Aeu {
     uint64_t visible = 0;
     uint64_t rows = 0;
     uint64_t sum = 0;
+    storage::Value min = ~storage::Value{0};
+    storage::Value max = 0;
+    uint64_t routed = 0;  ///< completion units routed to the target sink
   };
   routing::AeuArenaVec<ScanJob> scan_jobs_;
+  /// Runs one job's output kernel over `m` values of a segment (`covered`:
+  /// the zone map proves every value matches).
+  void ScanSegment(ScanJob* job, const storage::Value* data, uint64_t m,
+                   bool covered);
   struct PipelineJob {
     routing::PipelineParams p;
     routing::ResultSink* sink;
@@ -343,6 +350,8 @@ class Aeu {
   // commands. After warm-up neither pipelines nor joins allocate
   // (fi::Point::kQueryScratchAlloc counts violations).
   routing::QueryArenaVec<uint32_t> sel_;      ///< selection vector (per segment)
+  /// One scan job's snapshot view of a versioned segment (MVCC fallback).
+  routing::QueryArenaVec<storage::Value> snapshot_view_;
   routing::QueryArenaVec<uint64_t> mat_idx_;  ///< baseline materialized indices
   routing::QueryArenaVec<routing::KeyValue> join_run_;  ///< local sorted run
   routing::QueryArenaVec<routing::KeyValue> join_out_;  ///< boundary exchange
@@ -386,6 +395,9 @@ class Aeu {
   uint64_t last_flushes_ = 0;
   // Per-group accounting (set by the handlers, read by ProcessGroups).
   uint64_t group_ops_ = 0;
+  uint64_t group_stream_bytes_ = 0;  ///< node-local bytes streamed
+  uint64_t group_extra_words_ = 0;   ///< words re-filtered by coalesced scans
+  uint64_t group_index_visits_ = 0;  ///< entries index range scans visited
   double group_modeled_ns_ = 0;
 };
 

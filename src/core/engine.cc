@@ -337,26 +337,8 @@ void Engine::RetireSink(std::unique_ptr<routing::AggregateSink> sink) {
 }
 
 void Engine::Quiesce() {
-  auto all_idle = [&] {
-    for (routing::AeuId a = 0; a < num_aeus_; ++a) {
-      if (router_->IsAeuStalled(a)) continue;
-      if (router_->mailbox(a).PendingBytes() > 0) return false;
-      if (!aeus_[a]->IsQuiescent()) return false;
-    }
-    return true;
-  };
-  int stable = 0;
-  DriveUntil([&] {
-    if (all_idle()) {
-      ++stable;
-    } else {
-      stable = 0;
-    }
-    if (options_.mode == ExecutionMode::kThreads && started_) {
-      std::this_thread::yield();
-    }
-    return stable >= 4;
-  });
+  ERIS_CHECK(TryQuiesce(~uint64_t{0}))
+      << "engine stopped making progress before it went idle";
 }
 
 bool Engine::TryQuiesce(uint64_t timeout_ms) {
@@ -370,7 +352,11 @@ bool Engine::TryQuiesce(uint64_t timeout_ms) {
   };
   const bool inline_pump =
       options_.mode == ExecutionMode::kSimulated || !started_;
-  const uint64_t deadline = MonotonicNanos() + timeout_ms * 1'000'000ull;
+  const uint64_t start = MonotonicNanos();
+  const uint64_t deadline =
+      timeout_ms >= (~uint64_t{0} - start) / 1'000'000ull
+          ? ~uint64_t{0}
+          : start + timeout_ms * 1'000'000ull;
   uint64_t idle_passes = 0;
   int stable = 0;
   while (stable < 4) {
@@ -982,8 +968,9 @@ Engine::Session::ColumnStats Engine::Session::ScanStats(
   params.lo = lo;
   params.hi = hi;
   params.snapshot_ts = engine_->oracle().ReadTs();
+  params.output = routing::ScanOutput::kStats;
   SnapshotTracker::Pin pin(&engine_->snapshots(), params.snapshot_ts);
-  size_t expected = endpoint_.SendScanStats(object, params, &sink_);
+  size_t expected = endpoint_.SendScanColumn(object, params, &sink_);
   Wait(expected);
   ColumnStats stats;
   stats.rows = sink_.hits();
@@ -1097,21 +1084,15 @@ Status Engine::Session::SubmitCommon(
   endpoint_.set_deadline_ns(0);
   bool complete = WaitForUnits(sink.get(), expected, deadline_abs);
 
-  uint64_t shed = sink->dropped(routing::DropReason::kRetryExhausted);
-  uint64_t stalled = sink->dropped(routing::DropReason::kTargetStalled);
-  uint64_t expired = sink->dropped(routing::DropReason::kExpired);
-  uint64_t quarantined = sink->dropped(routing::DropReason::kQuarantined);
-  uint64_t wal_sealed = sink->dropped(routing::DropReason::kWalSealed);
-  uint64_t alloc_failed = sink->dropped(routing::DropReason::kAllocFailed);
   if (out != nullptr) {
     out->units = expected;
     out->hits = sink->hits();
-    out->shed = shed;
-    out->stalled = stalled;
-    out->expired = expired;
-    out->quarantined = quarantined;
-    out->wal_sealed = wal_sealed;
-    out->alloc_failed = alloc_failed;
+    out->shed = sink->dropped(routing::DropReason::kRetryExhausted);
+    out->stalled = sink->dropped(routing::DropReason::kTargetStalled);
+    out->expired = sink->dropped(routing::DropReason::kExpired);
+    out->quarantined = sink->dropped(routing::DropReason::kQuarantined);
+    out->wal_sealed = sink->dropped(routing::DropReason::kWalSealed);
+    out->alloc_failed = sink->dropped(routing::DropReason::kAllocFailed);
   }
   // Release the full grant even when units are still in flight after a
   // bail-out: admission bounds concurrent submits, not mailbox residency,
@@ -1123,33 +1104,38 @@ Status Engine::Session::SubmitCommon(
         .WithDetail(StatusDetail::kDeadlineExpired,
                     "completion units still in flight at the deadline");
   }
-  if (complete && observe) observe(*sink);
-  if (quarantined > 0) {
+  if (observe) observe(*sink);
+  return DropStatus(*sink);
+}
+
+Status DropStatus(const routing::AggregateSink& sink) {
+  using routing::DropReason;
+  if (sink.dropped(DropReason::kQuarantined) > 0) {
     return Status::Internal("poison command quarantined")
         .WithDetail(StatusDetail::kCommandQuarantined,
                     "command dead-lettered after repeated handler crashes");
   }
-  if (stalled > 0) {
+  if (sink.dropped(DropReason::kTargetStalled) > 0) {
     return Status::Unavailable("target AEU stalled")
         .WithDetail(StatusDetail::kAeuStalled,
                     "commands shed fail-fast for a quarantined AEU");
   }
-  if (wal_sealed > 0) {
+  if (sink.dropped(DropReason::kWalSealed) > 0) {
     return Status::Unavailable("write lost: WAL sealed")
         .WithDetail(StatusDetail::kWalSealed,
                     "target AEU's log sealed fail-stop on an I/O error");
   }
-  if (alloc_failed > 0) {
+  if (sink.dropped(DropReason::kAllocFailed) > 0) {
     return Status::ResourceExhausted("arena allocation failed")
         .WithDetail(StatusDetail::kAllocFailed,
                     "hot-path arena/pool could not grow; command shed");
   }
-  if (shed > 0) {
+  if (sink.dropped(DropReason::kRetryExhausted) > 0) {
     return Status::ResourceExhausted("delivery retries exhausted")
         .WithDetail(StatusDetail::kBufferFull,
                     "target incoming buffer stayed full past the retry cap");
   }
-  if (expired > 0) {
+  if (sink.dropped(DropReason::kExpired) > 0) {
     return Status::DeadlineExceeded("command deadline expired")
         .WithDetail(StatusDetail::kDeadlineExpired,
                     "dropped at dequeue after the deadline passed");
@@ -1223,11 +1209,12 @@ Status Engine::Session::SubmitScanStats(storage::ObjectId object,
   params.lo = lo;
   params.hi = hi;
   params.snapshot_ts = engine_->oracle().ReadTs();
+  params.output = routing::ScanOutput::kStats;
   SnapshotTracker::Pin pin(&engine_->snapshots(), params.snapshot_ts);
   return SubmitCommon(
       1,
       [&](routing::AggregateSink* sink) {
-        return endpoint_.SendScanStats(object, params, sink);
+        return endpoint_.SendScanColumn(object, params, sink);
       },
       out,
       [&](const routing::AggregateSink& sink) {

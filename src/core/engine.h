@@ -42,6 +42,10 @@ struct ScanResult {
   uint64_t sum = 0;
 };
 
+/// Typed status of the units `sink` saw dropped (OK when none were): the
+/// Submit* mapping of DropReason to Status, shared by the query layer.
+Status DropStatus(const routing::AggregateSink& sink);
+
 /// \brief Token-based admission control over in-flight completion units.
 ///
 /// The fast path is a relaxed CAS loop on one counter; a submit that would
@@ -147,9 +151,10 @@ class Engine {
   Status Snapshot();
 
   /// Bounded Quiesce: returns true when every non-stalled AEU went idle
-  /// (stably over several passes) within `timeout_ms`, false otherwise.
+  /// (stably over several passes) within `timeout_ms`, false otherwise
+  /// (a simulated engine gives up once its pumps stop making progress).
   /// Never CHECK-fails on a wedged engine — Stop() uses it as the drain
-  /// phase of shutdown.
+  /// phase of shutdown. UINT64_MAX waits without a wall-clock limit.
   bool TryQuiesce(uint64_t timeout_ms);
 
   durability::DurabilityManager* durability() { return durability_.get(); }
@@ -261,11 +266,11 @@ class Engine {
   /// Balancing cycle for every object with the engine's default config.
   bool RebalanceAll();
 
-  /// Advisory barrier: returns once every AEU mailbox is empty and no AEU
-  /// holds undelivered or deferred commands, observed stably over several
-  /// passes. The query layer uses it after operators whose AEUs fan out
-  /// follow-up commands (materializing scans, join probes). AEUs the
-  /// watchdog marked stalled are excluded (their mailboxes never drain).
+  /// Advisory barrier: TryQuiesce without a deadline, CHECK-failing if the
+  /// engine stops making progress. Returns once every AEU mailbox is empty
+  /// and no AEU holds undelivered or deferred commands, observed stably
+  /// over several passes. AEUs the watchdog marked stalled are excluded
+  /// (their mailboxes never drain).
   void Quiesce();
 
   /// One watchdog pass: observes every AEU's heartbeat and flags/unflags

@@ -49,27 +49,33 @@ Result<MaterializeResult> QueryRunner::MaterializeFilter(
   }
   storage::ObjectId dest = engine_->CreateColumn(std::move(result_name));
 
-  routing::MaterializeParams params;
-  params.scan.lo = filter.lo;
-  params.scan.hi = filter.hi;
-  params.scan.snapshot_ts = engine_->oracle().ReadTs();
-  params.dest_object = dest;
+  // The routed appends acknowledge to `append_sink`; each owner reports
+  // how many units it routed there, so phase 2 waits for exactly those.
+  AggregateSink append_sink;
+  routing::ScanParams params;
+  params.lo = filter.lo;
+  params.hi = filter.hi;
+  params.snapshot_ts = engine_->oracle().ReadTs();
+  params.output = routing::ScanOutput::kAppendTo;
+  params.target_object = dest;
+  params.target_sink = &append_sink;
 
   AggregateSink& sink = session_->sink();
   sink.Reset();
   size_t scan_cmds =
-      session_->endpoint().SendScanMaterialize(column, params, &sink);
-  // Phase 1: every owner finished scanning and routed its matches. The
-  // sink's hit counter then holds the total matched rows; the routed
-  // appends complete with one unit per append command, so phase 2 waits
-  // until the destination physically holds every match.
+      session_->endpoint().SendScanColumn(column, params, &sink);
+  // Phase 1: every owner finished scanning and routed its matches.
   session_->Wait(scan_cmds);
-  uint64_t rows = sink.hits();
-  engine_->Quiesce();
+  // Phase 2: every routed append was applied (or dropped, which completes
+  // its unit too), so the destination holds every match.
+  const uint64_t routed = sink.routed();
+  engine_->DriveUntil([&] { return append_sink.completed() >= routed; });
+  ERIS_RETURN_NOT_OK(core::DropStatus(sink));
+  ERIS_RETURN_NOT_OK(core::DropStatus(append_sink));
 
   MaterializeResult result;
   result.object = dest;
-  result.rows = rows;
+  result.rows = sink.hits();
   return result;
 }
 
@@ -83,25 +89,26 @@ JoinResult QueryRunner::IndexJoin(storage::ObjectId probe_column,
   // Two sinks: the probe sink sees the scan completions and the number of
   // issued lookups; the lookup sink collects the join matches.
   AggregateSink lookup_sink;
-  routing::JoinProbeParams params;
-  params.filter.lo = probe_filter.lo;
-  params.filter.hi = probe_filter.hi;
-  params.filter.snapshot_ts = engine_->oracle().ReadTs();
-  params.index_object = index;
-  params.lookup_sink = &lookup_sink;
+  routing::ScanParams params;
+  params.lo = probe_filter.lo;
+  params.hi = probe_filter.hi;
+  params.snapshot_ts = engine_->oracle().ReadTs();
+  params.output = routing::ScanOutput::kLookupIn;
+  params.target_object = index;
+  params.target_sink = &lookup_sink;
 
   AggregateSink& probe_sink = session_->sink();
   probe_sink.Reset();
   size_t scan_cmds =
-      session_->endpoint().SendJoinProbe(probe_column, params, &probe_sink);
+      session_->endpoint().SendScanColumn(probe_column, params, &probe_sink);
   session_->Wait(scan_cmds);
-  uint64_t probes = probe_sink.hits();
 
-  // The AEUs routed `probes` lookup elements; each completes exactly once.
-  engine_->DriveUntil([&] { return lookup_sink.completed() >= probes; });
+  // The AEUs routed one lookup unit per probe; each completes exactly once.
+  const uint64_t routed = probe_sink.routed();
+  engine_->DriveUntil([&] { return lookup_sink.completed() >= routed; });
 
   JoinResult result;
-  result.probes = probes;
+  result.probes = probe_sink.hits();
   result.matches = lookup_sink.hits();
   result.matched_sum = lookup_sink.sum();
   return result;

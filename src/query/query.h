@@ -18,8 +18,12 @@
 //    AEUs thus generate data commands for one another during query
 //    processing, the scenario the routing layer is built for.
 //
-// All operators run through the public Session/Endpoint API; the engine
-// stays the only owner of data.
+// All three are one command: the kScanColumn shared segment pass, with the
+// scan's output kind selecting aggregates (kStats), routed appends
+// (kAppendTo) or routed lookups (kLookupIn). Materialization and the join
+// wait for exactly the follow-up units the owners report routing. All
+// operators run through the public Session/Endpoint API; the engine stays
+// the only owner of data.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +85,8 @@ class QueryRunner {
   /// SELECT v INTO <name> FROM column WHERE v BETWEEN lo AND hi — every
   /// owner filters its partition and routes the matches as appends into a
   /// newly created column (NUMA-local intermediate materialization).
+  /// Returns once the destination holds every match; a dropped scan or
+  /// append returns its typed drop status (see core::DropStatus).
   Result<MaterializeResult> MaterializeFilter(storage::ObjectId column,
                                               Filter filter,
                                               std::string result_name);

@@ -16,9 +16,6 @@ const char* CommandTypeName(CommandType t) {
     case CommandType::kTransferRequest: return "transfer-request";
     case CommandType::kInstallPartition: return "install-partition";
     case CommandType::kFence: return "fence";
-    case CommandType::kScanStats: return "scan-stats";
-    case CommandType::kScanMaterialize: return "scan-materialize";
-    case CommandType::kJoinProbe: return "join-probe";
     case CommandType::kPipeline: return "pipeline";
     case CommandType::kJoinScatter: return "join-scatter";
     case CommandType::kJoinStage: return "join-stage";

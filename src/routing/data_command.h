@@ -32,17 +32,17 @@ enum class CommandType : uint8_t {
   kUpsertBatch,       ///< payload: KeyValue[]
   kEraseBatch,        ///< payload: Key[]
   kAppendBatch,       ///< payload: Value[] (column append)
-  kScanColumn,        ///< payload: ScanParams (multicast)
-  kScanIndexRange,    ///< payload: ScanParams (range partitions)
+  /// The one column-scan command (multicast), payload ScanParams. Its
+  /// output kind selects sum, stats, or routing the matches onward as
+  /// appends or lookups; the query layer's aggregate, materialization and
+  /// index join all ride on it (DESIGN.md §9).
+  kScanColumn,
+  kScanIndexRange,    ///< payload: IndexScanParams (range partitions)
   kBalanceRange,      ///< payload: BalanceRangeParams (+ transfer list)
   kBalancePhysical,   ///< payload: BalancePhysicalParams
   kTransferRequest,   ///< payload: TransferRequestParams
   kInstallPartition,  ///< payload: InstallParams + serialized partition
   kFence,             ///< barrier: acknowledge via sink
-  // Query-processing commands (the paper's future-work layer):
-  kScanStats,         ///< payload: ScanParams; full aggregates via OnScanStats
-  kScanMaterialize,   ///< payload: MaterializeParams; routes matches onward
-  kJoinProbe,         ///< payload: JoinProbeParams; routes index lookups
   // Fused query pipelines and the MPSM sort-merge join (DESIGN.md §13):
   kPipeline,          ///< payload: PipelineParams (multicast, fused operators)
   kJoinScatter,       ///< payload: MergeJoinParams (multicast to S owners)
@@ -51,11 +51,15 @@ enum class CommandType : uint8_t {
   // WAL-only effect records (never routed; see src/durability/wal.h):
   // rebalancing side effects an AEU applies to its own partition are logged
   // with these types so per-AEU replay reproduces transfers without any
-  // cross-AEU coordination.
-  kWalExtractRange,   ///< payload: KeyRange extracted out of the partition
+  // cross-AEU coordination. Their values are persisted in WAL files, so
+  // they stay fixed when routed command types come and go.
+  kWalExtractRange = 19,  ///< payload: KeyRange extracted out of the partition
   kWalSplitTail,      ///< payload: u64 trailing tuples split off (column)
   kWalSetRange,       ///< payload: KeyRange newly declared for the partition
 };
+
+static_assert(CommandType::kJoinMerge < CommandType::kWalExtractRange,
+              "routed command types must not reach the persisted WAL types");
 
 const char* CommandTypeName(CommandType t);
 
@@ -77,11 +81,29 @@ struct KeyValue {
   storage::Value value;
 };
 
-/// Filter and snapshot parameters of a scan command.
+class ResultSink;
+
+/// What a column scan produces from its matching rows.
+enum class ScanOutput : uint32_t {
+  kSum = 0,   ///< rows and sum via OnScanPartial
+  kStats,     ///< rows, sum, min and max via OnScanStats
+  kAppendTo,  ///< matches routed as appends into `target_object`
+  kLookupIn,  ///< matches routed as lookup keys into `target_object`
+};
+
+/// Filter, snapshot and output of a column scan. The emitting outputs
+/// (kAppendTo, kLookupIn) route each segment's matches onward with
+/// `target_sink` (in-process pointer, like the header's callback
+/// reference) as the follow-up commands' sink, and report rows and sum via
+/// OnScanPartial plus the routed completion units via OnScanRouted, so a
+/// caller can wait for exactly those units at `target_sink`.
 struct ScanParams {
   storage::Value lo = 0;
   storage::Value hi = ~storage::Value{0};
   uint64_t snapshot_ts = ~uint64_t{0};
+  ScanOutput output = ScanOutput::kSum;
+  uint32_t target_object = 0;
+  ResultSink* target_sink = nullptr;
 };
 
 /// Payload of kScanIndexRange: key interval plus value filter/snapshot.
@@ -89,28 +111,6 @@ struct IndexScanParams {
   storage::Key key_lo = 0;
   storage::Key key_hi = ~storage::Key{0};  // exclusive
   ScanParams scan;
-};
-
-/// Payload of kScanMaterialize: filter the local column partition and route
-/// the matching values as appends into `dest_object` (NUMA-local
-/// materialization of intermediate results).
-struct MaterializeParams {
-  ScanParams scan;
-  uint32_t dest_object = 0;
-  uint32_t pad = 0;
-};
-
-class ResultSink;
-
-/// Payload of kJoinProbe: treat the filtered values of the local column
-/// partition as keys and route lookup batches into `index_object`; lookup
-/// results are delivered to `lookup_sink` (in-process pointer, like the
-/// header's callback reference).
-struct JoinProbeParams {
-  ScanParams filter;
-  uint32_t index_object = 0;
-  uint32_t pad = 0;
-  ResultSink* lookup_sink = nullptr;
 };
 
 /// Sentinel for an unused pipeline column slot.
@@ -200,7 +200,7 @@ class ResultSink {
   /// Write batch processed; `applied` entries took effect.
   virtual void OnWriteBatch(uint64_t applied) { (void)applied; }
 
-  /// Full aggregates of a kScanStats command over one partition.
+  /// Full aggregates of a ScanOutput::kStats scan over one partition.
   virtual void OnScanStats(uint64_t rows, uint64_t sum, storage::Value min,
                            storage::Value max) {
     (void)rows;
@@ -208,6 +208,11 @@ class ResultSink {
     (void)min;
     (void)max;
   }
+
+  /// An emitting scan over one partition routed follow-up commands worth
+  /// `units` completion units to its ScanParams::target_sink. Delivered
+  /// before the scan's own OnCommandComplete.
+  virtual void OnScanRouted(uint64_t units) { (void)units; }
 
   /// Completion units: keyed batches complete per element (so forwarding a
   /// command during rebalancing preserves the total), scans and appends per
@@ -267,6 +272,9 @@ class AggregateSink : public ResultSink {
       }
     }
   }
+  void OnScanRouted(uint64_t units) override {
+    routed_.fetch_add(units, std::memory_order_relaxed);
+  }
   void OnCommandComplete(uint64_t units) override {
     completed_.fetch_add(units, std::memory_order_release);
   }
@@ -283,6 +291,8 @@ class AggregateSink : public ResultSink {
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   uint64_t probes() const { return probes_.load(std::memory_order_relaxed); }
+  /// Completion units emitting scans routed to their target sink.
+  uint64_t routed() const { return routed_.load(std::memory_order_relaxed); }
 
   /// Units dropped for `reason` (subset of completed()).
   uint64_t dropped(DropReason reason) const {
@@ -303,6 +313,7 @@ class AggregateSink : public ResultSink {
     hits_ = 0;
     sum_ = 0;
     probes_ = 0;
+    routed_ = 0;
     min_ = ~storage::Value{0};
     max_ = 0;
     for (auto& d : dropped_) d = 0;
@@ -313,6 +324,7 @@ class AggregateSink : public ResultSink {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> probes_{0};
+  std::atomic<uint64_t> routed_{0};
   std::atomic<storage::Value> min_{~storage::Value{0}};
   std::atomic<storage::Value> max_{0};
   std::atomic<uint64_t> dropped_[kNumDropReasons] = {};

@@ -407,53 +407,6 @@ std::span<const uint8_t> OneAsBytes(const P& p) {
 }
 }  // namespace
 
-size_t Endpoint::SendScanStats(storage::ObjectId object,
-                               const ScanParams& params, ResultSink* sink) {
-  BitmapPartitionTable* bitmap = router_->bitmap_table(object);
-  ERIS_CHECK(bitmap != nullptr) << "stats scan on non-physical object";
-  std::vector<AeuId> owners = bitmap->Owners();
-  if (owners.empty()) return 0;
-  CommandHeader header;
-  header.type = CommandType::kScanStats;
-  header.object = static_cast<uint16_t>(object);
-  header.source = source_;
-  header.sink = sink;
-  Multicast(owners, header, OneAsBytes(params));
-  return owners.size();
-}
-
-size_t Endpoint::SendScanMaterialize(storage::ObjectId object,
-                                     const MaterializeParams& params,
-                                     ResultSink* sink) {
-  BitmapPartitionTable* bitmap = router_->bitmap_table(object);
-  ERIS_CHECK(bitmap != nullptr) << "materialize scan on non-physical object";
-  std::vector<AeuId> owners = bitmap->Owners();
-  if (owners.empty()) return 0;
-  CommandHeader header;
-  header.type = CommandType::kScanMaterialize;
-  header.object = static_cast<uint16_t>(object);
-  header.source = source_;
-  header.sink = sink;
-  Multicast(owners, header, OneAsBytes(params));
-  return owners.size();
-}
-
-size_t Endpoint::SendJoinProbe(storage::ObjectId object,
-                               const JoinProbeParams& params,
-                               ResultSink* sink) {
-  BitmapPartitionTable* bitmap = router_->bitmap_table(object);
-  ERIS_CHECK(bitmap != nullptr) << "join probe on non-physical object";
-  std::vector<AeuId> owners = bitmap->Owners();
-  if (owners.empty()) return 0;
-  CommandHeader header;
-  header.type = CommandType::kJoinProbe;
-  header.object = static_cast<uint16_t>(object);
-  header.source = source_;
-  header.sink = sink;
-  Multicast(owners, header, OneAsBytes(params));
-  return owners.size();
-}
-
 size_t Endpoint::SendPipeline(const PipelineParams& params, ResultSink* sink) {
   BitmapPartitionTable* bitmap = router_->bitmap_table(params.filter_object);
   ERIS_CHECK(bitmap != nullptr) << "pipeline on non-physical filter column";

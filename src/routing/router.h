@@ -135,24 +135,10 @@ class Endpoint {
                       std::span<const storage::Value> values,
                       ResultSink* sink);
 
-  /// Multicasts a full-column scan to every AEU holding a partition.
+  /// Multicasts a full-column scan to every AEU holding a partition; its
+  /// output kind (params.output) selects what each owner produces.
   size_t SendScanColumn(storage::ObjectId object, const ScanParams& params,
                         ResultSink* sink);
-
-  /// Multicasts a full-aggregate scan (rows/sum/min/max via OnScanStats).
-  size_t SendScanStats(storage::ObjectId object, const ScanParams& params,
-                       ResultSink* sink);
-
-  /// Multicasts a materializing scan: every owner filters its partition and
-  /// routes the matches as appends into `params.dest_object`.
-  size_t SendScanMaterialize(storage::ObjectId object,
-                             const MaterializeParams& params,
-                             ResultSink* sink);
-
-  /// Multicasts a join probe: every owner of the probe column routes its
-  /// filtered values as lookups into `params.index_object`.
-  size_t SendJoinProbe(storage::ObjectId object, const JoinProbeParams& params,
-                       ResultSink* sink);
 
   /// Multicasts a fused pipeline plan to every owner of the driving filter
   /// column (`params.filter_object`); the group's other member columns are

@@ -170,15 +170,13 @@ TEST(AeuTest, QuiesceWaitsForRoutedFollowUps) {
   std::vector<Value> values(10000, 7);
   session->Append(col, values);
 
-  routing::MaterializeParams params;
-  params.scan.lo = 0;
-  params.scan.hi = ~Value{0};
-  params.scan.snapshot_ts = engine.oracle().ReadTs();
-  params.dest_object = dst;
+  routing::ScanParams params;
+  params.snapshot_ts = engine.oracle().ReadTs();
+  params.output = routing::ScanOutput::kAppendTo;
+  params.target_object = dst;
   AggregateSink& sink = session->sink();
   sink.Reset();
-  uint64_t expected =
-      session->endpoint().SendScanMaterialize(col, params, &sink);
+  uint64_t expected = session->endpoint().SendScanColumn(col, params, &sink);
   session->Wait(expected);
   engine.Quiesce();
   uint64_t dst_rows = 0;

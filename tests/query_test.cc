@@ -93,6 +93,68 @@ TEST_P(QueryTest, MaterializeFilterCreatesLocalIntermediates) {
   engine.Stop();
 }
 
+TEST(MaterializeWaitTest, ThreadedMaterializeThenAggregateIsExact) {
+  // MaterializeFilter returns only after every routed append is applied,
+  // so an aggregate over the destination right afterwards must see every
+  // match, on every round.
+  EngineOptions opts;
+  opts.topology = numa::Topology::Flat(2, 2);
+  opts.mode = ExecutionMode::kThreads;
+  Engine engine(opts);
+  ObjectId col = engine.CreateColumn("facts");
+  engine.Start();
+  QueryRunner runner(&engine);
+  Xoshiro256 rng(9);
+  std::vector<Value> values(60000);
+  for (Value& v : values) v = rng.NextBounded(1000);
+  runner.session().Append(col, values);
+  for (int round = 0; round < 20; ++round) {
+    const Value lo = static_cast<Value>(round * 37 % 900);
+    const Value hi = lo + 99;
+    uint64_t want = 0;
+    uint64_t want_sum = 0;
+    for (Value v : values) {
+      if (v >= lo && v <= hi) {
+        ++want;
+        want_sum += v;
+      }
+    }
+    auto mat = runner.MaterializeFilter(col, {lo, hi},
+                                        "m" + std::to_string(round));
+    ASSERT_TRUE(mat.ok()) << mat.status().ToString();
+    ASSERT_EQ(mat->rows, want) << "round " << round;
+    AggregateResult check = runner.Aggregate(mat->object);
+    ASSERT_EQ(check.rows, want) << "round " << round;
+    ASSERT_EQ(check.sum, want_sum) << "round " << round;
+  }
+  engine.Stop();
+}
+
+#if defined(ERIS_FAULT_INJECTION) && ERIS_FAULT_INJECTION
+TEST(MaterializeWaitTest, DroppedAppendEndsTheWaitWithTypedError) {
+  EngineOptions opts;
+  opts.topology = numa::Topology::Flat(2, 2);
+  opts.mode = ExecutionMode::kSimulated;
+  Engine engine(opts);
+  ObjectId col = engine.CreateColumn("facts");
+  engine.Start();
+  QueryRunner runner(&engine);
+  std::vector<Value> values(5000);
+  for (size_t i = 0; i < values.size(); ++i) values[i] = i % 10;
+  runner.session().Append(col, values);
+  // Every append fails its (injected) version-pool allocation and is shed
+  // with kAllocFailed; the scan itself allocates nothing and completes.
+  fi::FaultInjector::Global().Reset();
+  fi::FaultInjector::Global().SetFailProbability(fi::Point::kMvccVersionAlloc,
+                                                 1.0);
+  auto mat = runner.MaterializeFilter(col, {0, 4}, "lost");
+  fi::FaultInjector::Global().Reset();
+  ASSERT_FALSE(mat.ok());
+  EXPECT_TRUE(mat.status().IsResourceExhausted()) << mat.status().ToString();
+  engine.Stop();
+}
+#endif
+
 TEST_P(QueryTest, MaterializeRejectsNonColumn) {
   Engine engine(MakeOptions());
   ObjectId idx = engine.CreateIndex("kv", 1u << 16,

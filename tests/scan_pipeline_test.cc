@@ -1,6 +1,8 @@
 // Tests for the vectorized segment-at-a-time scan pipeline: differential
 // SIMD-vs-scalar kernel equivalence, zone-map maintenance across the
-// column's structural operations, and the MVCC visible-prefix fast path.
+// column's structural operations, the MVCC visible-prefix fast path, and
+// the engine's one column-scan command with every output kind coalesced
+// into one shared pass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +10,7 @@
 
 #include "common/rng.h"
 #include "common/simd.h"
+#include "core/engine.h"
 #include "numa/memory_manager.h"
 #include "storage/column_store.h"
 #include "storage/mvcc.h"
@@ -82,6 +85,39 @@ TEST_F(ScanPipelineTest, KernelDifferentialRandomBlocks) {
       out_d.resize(nd);
       out_s.resize(ns);
       EXPECT_EQ(out_d, out_s);
+    }
+  }
+}
+
+TEST_F(ScanPipelineTest, StatsKernelDifferentialRandomBlocks) {
+  Xoshiro256 rng(19);
+  for (size_t n : {0ul, 1ul, 3ul, 4ul, 5ul, 7ul, 64ul, 1000ul, 4097ul}) {
+    std::vector<uint64_t> data(n);
+    for (auto& v : data) v = rng.Next();
+    if (n > 4) {
+      data[0] = 0;
+      data[1] = ~uint64_t{0};
+      data[2] = 1ull << 63;
+      data[3] = (1ull << 63) - 1;
+    }
+    for (auto [lo, hi] : InterestingRanges(&rng)) {
+      // Reference: a plain loop, independent of both kernels.
+      simd::ScanStatsResult want;
+      for (uint64_t v : data) {
+        if (v < lo || v > hi) continue;
+        ++want.count;
+        want.sum += v;
+        want.min = std::min(want.min, v);
+        want.max = std::max(want.max, v);
+      }
+      for (const simd::ScanStatsResult& got :
+           {simd::ScanStats(data.data(), n, lo, hi),
+            simd::ScanStatsScalar(data.data(), n, lo, hi)}) {
+        EXPECT_EQ(got.count, want.count) << "n=" << n << " lo=" << lo;
+        EXPECT_EQ(got.sum, want.sum) << "n=" << n << " lo=" << lo;
+        EXPECT_EQ(got.min, want.min) << "n=" << n << " lo=" << lo;
+        EXPECT_EQ(got.max, want.max) << "n=" << n << " lo=" << lo;
+      }
     }
   }
 }
@@ -317,6 +353,201 @@ TEST_F(ScanPipelineTest, MvccPrefixScanMatchesSlowReference) {
   for (TupleId tid = 0; tid < n; ++tid) want_sum += col.Read(tid, snap);
   EXPECT_EQ(sum, want_sum);
   EXPECT_EQ(rows, n);
+}
+
+// ---------------------------------------------------------------------------
+// Engine: every output kind of kScanColumn in one shared pass
+// ---------------------------------------------------------------------------
+
+/// Sums, stats, materialized values and join matches of one filter over
+/// `values`, computed sequentially. The index holds key k -> 2k for every
+/// multiple of 3.
+struct ScanOracle {
+  uint64_t rows = 0;
+  uint64_t sum = 0;
+  Value min = ~Value{0};
+  Value max = 0;
+  std::vector<Value> matches;  // sorted
+  uint64_t join_matches = 0;
+  uint64_t join_sum = 0;
+
+  ScanOracle(const std::vector<Value>& values, Value lo, Value hi) {
+    for (Value v : values) {
+      if (v < lo || v > hi) continue;
+      ++rows;
+      sum += v;
+      min = std::min(min, v);
+      max = std::max(max, v);
+      matches.push_back(v);
+      if (v % 3 == 0) {
+        ++join_matches;
+        join_sum += 2 * v;
+      }
+    }
+    std::sort(matches.begin(), matches.end());
+  }
+};
+
+class MixedScanTest : public ::testing::Test {
+ protected:
+  static constexpr Key kDomain = 1u << 18;
+
+  MixedScanTest() : engine_(Options()) {
+    col_ = engine_.CreateColumn("col");
+    idx_ = engine_.CreateIndex("idx", kDomain,
+                               {.prefix_bits = 9, .key_bits = 18});
+    engine_.Start();
+    session_ = engine_.CreateSession();
+    std::vector<routing::KeyValue> kvs;
+    for (Key k = 0; k < kDomain; k += 3) kvs.push_back({k, 2 * k});
+    session_->Insert(idx_, kvs);
+  }
+  ~MixedScanTest() override { engine_.Stop(); }
+
+  static core::EngineOptions Options() {
+    core::EngineOptions opts;
+    opts.topology = numa::Topology::Flat(2, 2);
+    // Simulated: nothing runs until the wait pumps, so all four commands
+    // land in one drain per AEU.
+    opts.mode = core::ExecutionMode::kSimulated;
+    return opts;
+  }
+
+  uint64_t Coalesced() {
+    uint64_t n = 0;
+    for (routing::AeuId a = 0; a < engine_.num_aeus(); ++a) {
+      n += engine_.aeu(a).loop_stats().scans_coalesced;
+    }
+    return n;
+  }
+
+  /// Every value the column's partitions physically hold (newest versions).
+  std::vector<Value> RawValues(ObjectId object) {
+    std::vector<Value> out;
+    for (routing::AeuId a = 0; a < engine_.num_aeus(); ++a) {
+      engine_.aeu(a).partition(object)->mvcc_column()->column().ForEach(
+          [&](TupleId, Value v) { out.push_back(v); });
+    }
+    return out;
+  }
+
+  /// Sends a sum, a stats, an append-emit and a lookup-emit scan of [lo,
+  /// hi] at `snapshot` back to back, waits for every routed follow-up, and
+  /// compares each output with the oracle over `values`.
+  void ExpectMixedDrainMatches(const std::vector<Value>& values, Value lo,
+                               Value hi, uint64_t snapshot,
+                               const std::string& dest_name) {
+    SCOPED_TRACE(dest_name);
+    ScanOracle want(values, lo, hi);
+    ObjectId dest = engine_.CreateColumn(dest_name);
+    routing::AggregateSink sum_sink, stats_sink, append_sink, probe_sink;
+    routing::AggregateSink appended, looked_up;
+    routing::ScanParams p;
+    p.lo = lo;
+    p.hi = hi;
+    p.snapshot_ts = snapshot;
+    routing::Endpoint& ep = session_->endpoint();
+    const uint64_t coalesced_before = Coalesced();
+    uint64_t owners = ep.SendScanColumn(col_, p, &sum_sink);
+    p.output = routing::ScanOutput::kStats;
+    ep.SendScanColumn(col_, p, &stats_sink);
+    p.output = routing::ScanOutput::kAppendTo;
+    p.target_object = dest;
+    p.target_sink = &appended;
+    ep.SendScanColumn(col_, p, &append_sink);
+    p.output = routing::ScanOutput::kLookupIn;
+    p.target_object = idx_;
+    p.target_sink = &looked_up;
+    ep.SendScanColumn(col_, p, &probe_sink);
+    ep.FlushAll();
+    engine_.DriveUntil([&] {
+      return sum_sink.completed() >= owners &&
+             stats_sink.completed() >= owners &&
+             append_sink.completed() >= owners &&
+             probe_sink.completed() >= owners &&
+             appended.completed() >= append_sink.routed() &&
+             looked_up.completed() >= probe_sink.routed();
+    });
+    EXPECT_EQ(Coalesced() - coalesced_before, 3 * owners);
+
+    EXPECT_EQ(sum_sink.hits(), want.rows);
+    EXPECT_EQ(sum_sink.sum(), want.sum);
+    EXPECT_EQ(stats_sink.hits(), want.rows);
+    EXPECT_EQ(stats_sink.sum(), want.sum);
+    EXPECT_EQ(stats_sink.min(), want.min);
+    EXPECT_EQ(stats_sink.max(), want.max);
+    EXPECT_EQ(append_sink.hits(), want.rows);
+    EXPECT_EQ(appended.dropped_total(), 0u);
+    std::vector<Value> got = RawValues(dest);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want.matches);
+    EXPECT_EQ(probe_sink.hits(), want.rows);
+    EXPECT_EQ(probe_sink.routed(), want.rows);
+    EXPECT_EQ(looked_up.hits(), want.join_matches);
+    EXPECT_EQ(looked_up.sum(), want.join_sum);
+  }
+
+  core::Engine engine_;
+  ObjectId col_ = 0;
+  ObjectId idx_ = 0;
+  std::unique_ptr<core::Engine::Session> session_;
+};
+
+TEST_F(MixedScanTest, ClusteredColumnWithZonePrunedSegments) {
+  // Ascending values: each partition's segments cover disjoint value
+  // windows, so a narrow filter excludes most of them.
+  const uint64_t n = 4 * 3 * ColumnStore::kSegmentCapacity;
+  std::vector<Value> values(n);
+  for (uint64_t i = 0; i < n; ++i) values[i] = i / 4;
+  session_->Append(col_, values);
+  uint64_t skipped_before = 0;
+  for (routing::AeuId a = 0; a < engine_.num_aeus(); ++a) {
+    skipped_before += engine_.aeu(a).loop_stats().zone_segments_skipped;
+  }
+  ExpectMixedDrainMatches(values, 70000, 90000, engine_.oracle().ReadTs(),
+                          "clustered_out");
+  uint64_t skipped = 0;
+  for (routing::AeuId a = 0; a < engine_.num_aeus(); ++a) {
+    skipped += engine_.aeu(a).loop_stats().zone_segments_skipped;
+  }
+  EXPECT_GT(skipped, skipped_before);
+  // A filter covering every value takes the covered-segment paths.
+  ExpectMixedDrainMatches(values, 0, kDomain, engine_.oracle().ReadTs(),
+                          "clustered_all");
+}
+
+TEST_F(MixedScanTest, UniformColumn) {
+  Xoshiro256 rng(41);
+  std::vector<Value> values(300000);
+  for (Value& v : values) v = rng.NextBounded(kDomain);
+  session_->Append(col_, values);
+  ExpectMixedDrainMatches(values, kDomain / 4, kDomain / 4 + kDomain / 10,
+                          engine_.oracle().ReadTs(), "uniform_out");
+}
+
+TEST_F(MixedScanTest, VersionedColumnTakesTheMvccFallback) {
+  Xoshiro256 rng(43);
+  std::vector<Value> values(200000);
+  for (Value& v : values) v = rng.NextBounded(kDomain);
+  session_->Append(col_, values);
+  const uint64_t before = engine_.oracle().ReadTs();
+  // Keep the old versions alive for the snapshot scan below.
+  core::SnapshotTracker::Pin pin(&engine_.snapshots(), before);
+  for (routing::AeuId a = 0; a < engine_.num_aeus(); ++a) {
+    MvccColumn* column = engine_.aeu(a).partition(col_)->mvcc_column();
+    for (TupleId tid = 0; tid < column->size(); tid += 7) {
+      column->Update(tid, (column->Read(tid, before) + 12345) % kDomain,
+                     engine_.oracle().NextWriteTs());
+    }
+    ASSERT_GT(column->undo_chains(), 0u);
+  }
+  const Value lo = kDomain / 3;
+  const Value hi = kDomain / 3 + kDomain / 8;
+  // The old snapshot reads the appended values through the undo chains;
+  // the newest one reads the updated values in place.
+  ExpectMixedDrainMatches(values, lo, hi, before, "versioned_old");
+  ExpectMixedDrainMatches(RawValues(col_), lo, hi, engine_.oracle().ReadTs(),
+                          "versioned_new");
 }
 
 }  // namespace
