@@ -29,6 +29,15 @@ cmake -B build -S .
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
+echo "=== tier-1: multi-core repeat leg (quiescence and WAL-seal suites) ==="
+# The join barrier (exact Engine::Quiesce, DESIGN.md §13), the WAL seal
+# order (DESIGN.md §15) and metrics-before-completion for the balancer are
+# cross-thread orderings: a bug in any shows only in some runs on a
+# multi-core host, so these suites run five times.
+ctest --test-dir build --output-on-failure -j"$JOBS" \
+      -R '^(query_test|join_pipeline_test|aeu_test|storage_fault_test|rebalance_test)$' \
+      --repeat until-fail:5
+
 echo "=== tier-1: lookup fast-path smoke (bench_ext_lookup --smoke) ==="
 # Gates the point-lookup fast path: pipelined BatchLookup must not fall
 # behind scalar probes, and the engine-level fast path (batched commands +

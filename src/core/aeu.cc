@@ -91,6 +91,7 @@ Aeu::Aeu(routing::AeuId id, Engine* engine)
   scan_jobs_.set_memory(memory);
   pipeline_jobs_.set_memory(memory);
   pipeline_fused_.set_memory(memory);
+  group_completions_.set_memory(memory);
 }
 
 Aeu::~Aeu() = default;
@@ -147,8 +148,10 @@ bool Aeu::RunLoopIteration() {
     idle_iterations_ = 0;
     RunMaintenance();
   }
-  quiescent_.store(deferred_.empty() && !endpoint_.HasPending(),
-                   std::memory_order_release);
+  // Retire what was drained only once nothing of it is left in this AEU.
+  if (deferred_.empty() && !endpoint_.HasPending()) {
+    retired_.store(drained_bytes_, std::memory_order_release);
+  }
   return worked;
 }
 
@@ -177,6 +180,7 @@ bool Aeu::ProcessIncoming() {
         GroupRecords(region);
         ProcessGroups();
       });
+  drained_bytes_ += filled;
   return filled > 0;
 }
 
@@ -297,6 +301,10 @@ void Aeu::ProcessGroups() {
                          ? group_modeled_ns_
                          : static_cast<double>(watch.ElapsedNanos());
     RecordGroupMetrics(g.object, group_ops_, exec_ns);
+    for (const Completion& c : group_completions_) {
+      c.sink->OnCommandComplete(c.units);
+    }
+    group_completions_.clear();
   }
   // Balancing and transfer commands run after the data commands (the last
   // stage of the AEU loop in Figure 3).
@@ -536,7 +544,7 @@ void Aeu::ProcessLookupGroup(const Group& g) {
         std::span<const storage::Value>{scratch_values_}.subspan(s.offset,
                                                                  s.len),
         {found_.data() + s.offset, s.len});
-    s.sink->OnCommandComplete(s.len);
+    CompleteAfterGroup(s.sink, s.len);
   }
   group_ops_ += scratch_keys_.size();
   ChargeLookupOps(g.object, group_ops_, probe_stats.nodes_touched);
@@ -805,7 +813,7 @@ void Aeu::ProcessScanColumnGroup(const Group& g) {
       j.sink->OnScanPartial(j.rows, j.sum);
       if (j.routed > 0) j.sink->OnScanRouted(j.routed);
     }
-    j.sink->OnCommandComplete(1);
+    CompleteAfterGroup(j.sink, 1);
   }
   if (scan_jobs_.size() > 1) stats_.scans_coalesced += scan_jobs_.size() - 1;
   group_ops_ += scan_jobs_.size();
@@ -899,7 +907,7 @@ void Aeu::ProcessScanIndexGroup(const Group& g) {
     visited_total += visited;
     if (cmd.header.sink != nullptr) {
       cmd.header.sink->OnScanPartial(rows, sum);
-      cmd.header.sink->OnCommandComplete(1);
+      CompleteAfterGroup(cmd.header.sink, 1);
     }
   }
   group_ops_ += visited_total;
@@ -1092,7 +1100,7 @@ void Aeu::ProcessPipelineGroup(const Group& g) {
   for (PipelineJob& j : pipeline_jobs_) {
     if (j.sink != nullptr) {
       j.sink->OnScanPartial(j.rows, j.sum);
-      j.sink->OnCommandComplete(1);
+      CompleteAfterGroup(j.sink, 1);
     }
   }
   if (pipeline_fused_.size() > 1) stats_.scans_coalesced += pipeline_fused_.size() - 1;
@@ -1165,7 +1173,7 @@ void Aeu::ProcessJoinScatterGroup(const Group& g) {
       }
       if (cmd.header.sink != nullptr) {
         cmd.header.sink->OnScanPartial(join_run_.size(), 0);
-        cmd.header.sink->OnCommandComplete(1);
+        CompleteAfterGroup(cmd.header.sink, 1);
       }
     } else {
       // MPSM scatter: sort the local S run in place, keep the key ranges
@@ -1197,7 +1205,7 @@ void Aeu::ProcessJoinScatterGroup(const Group& g) {
       }
       if (cmd.header.sink != nullptr) {
         cmd.header.sink->OnScanPartial(join_run_.size(), 0);
-        cmd.header.sink->OnCommandComplete(1);
+        CompleteAfterGroup(cmd.header.sink, 1);
       }
     }
     group_stream_bytes_ += join_run_.size() * sizeof(routing::KeyValue);
@@ -1244,7 +1252,7 @@ void Aeu::ProcessJoinStageGroup(const Group& g) {
         ++stats_.commands_forwarded;
       }
     }
-    if (cmd.header.sink != nullptr) cmd.header.sink->OnCommandComplete(1);
+    if (cmd.header.sink != nullptr) CompleteAfterGroup(cmd.header.sink, 1);
   }
   group_ops_ += g.commands.size();
 }
@@ -1304,13 +1312,13 @@ void Aeu::ProcessJoinMergeGroup(const Group& g) {
     if (p.result_sink != nullptr) {
       p.result_sink->OnScanPartial(matches, key_sum);
     }
-    if (cmd.header.sink != nullptr) cmd.header.sink->OnCommandComplete(1);
+    if (cmd.header.sink != nullptr) CompleteAfterGroup(cmd.header.sink, 1);
   }
   group_ops_ += g.commands.size();
 }
 
 void Aeu::ProcessFence(const routing::CommandView& cmd) {
-  if (cmd.header.sink != nullptr) cmd.header.sink->OnCommandComplete(1);
+  if (cmd.header.sink != nullptr) CompleteAfterGroup(cmd.header.sink, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -1797,13 +1805,15 @@ void Aeu::CommitWalAndAck() {
     // sealed when this iteration's records were appended). Acknowledging
     // would break acknowledged ⇒ durable, so shed every pending ack with a
     // typed drop reason — waiters complete with kWalSealed instead of
-    // hanging — and hand the fail-stop to the engine for quarantine.
+    // hanging — after handing the fail-stop to the engine for quarantine.
+    // The engine degrades before any waiter sees its drop, so a client
+    // that got kWalSealed already reads degraded() (DESIGN.md §15).
+    engine_->OnWalSealed(id_, st);
     for (const PendingAck& ack : pending_acks_) {
       ack.sink->OnCommandDropped(ack.units, routing::DropReason::kWalSealed);
       stats_.wal_drops += ack.units;
     }
     pending_acks_.clear();
-    engine_->OnWalSealed(id_, st);
     return;
   }
   // Acks are delivered even when this commit was a no-op: a mid-iteration
@@ -1822,8 +1832,12 @@ void Aeu::AckWrite(routing::ResultSink* sink, uint64_t applied,
     pending_acks_.push_back(PendingAck{sink, applied, units});
   } else {
     sink->OnWriteBatch(applied);
-    sink->OnCommandComplete(units);
+    CompleteAfterGroup(sink, units);
   }
+}
+
+void Aeu::CompleteAfterGroup(routing::ResultSink* sink, uint64_t units) {
+  group_completions_.push_back(Completion{sink, units});
 }
 
 void Aeu::FlushWal() {

@@ -138,13 +138,13 @@ class Aeu {
   };
   const std::vector<DeadLetter>& dead_letters() const { return dead_letters_; }
 
-  /// Advisory: no undelivered outgoing commands and no deferred records,
-  /// as of the end of the last loop iteration (the loop publishes the flag
-  /// each pass, so cross-thread readers — Engine::Quiesce, the watchdog —
-  /// never touch the loop-private buffers). Engine::Quiesce() samples it
-  /// stably over several passes.
-  bool IsQuiescent() const {
-    return quiescent_.load(std::memory_order_acquire);
+  /// Monotone total of mailbox bytes this AEU has fully processed: drained,
+  /// with no command still deferred and every follow-up delivered (and,
+  /// with a WAL, group-committed and acked). Published at the end of each
+  /// loop iteration; the AEU is idle iff this equals its mailbox's
+  /// BytesWritten (see Engine::TryQuiesce).
+  uint64_t BytesRetired() const {
+    return retired_.load(std::memory_order_acquire);
   }
 
  private:
@@ -228,8 +228,13 @@ class Aeu {
                                const storage::Partition& part);
   /// Group commit at iteration end + deferred-ack delivery.
   void CommitWalAndAck();
-  /// Acks a write: immediately without a WAL, else after the group commit.
+  /// Acks a write: at the end of its group without a WAL, else after the
+  /// group commit.
   void AckWrite(routing::ResultSink* sink, uint64_t applied, uint64_t units);
+  /// Completes `units` of `sink` once ProcessGroups has recorded the
+  /// current group's monitor metrics, so a client that saw its command
+  /// complete also finds its accesses in the monitor (RebalanceObject).
+  void CompleteAfterGroup(routing::ResultSink* sink, uint64_t units);
 
   // --- monitoring & sim accounting ---
   void RecordGroupMetrics(storage::ObjectId object, uint64_t ops,
@@ -281,6 +286,12 @@ class Aeu {
   /// Write acknowledgements held back until the iteration-end group commit
   /// (acknowledged implies durable).
   std::vector<PendingAck> pending_acks_;
+  struct Completion {
+    routing::ResultSink* sink;
+    uint64_t units;
+  };
+  /// Completions of the group being processed; see CompleteAfterGroup.
+  routing::AeuArenaVec<Completion> group_completions_;
 
   // Scratch. Everything the dequeue/dispatch path touches per iteration is
   // arena-backed (AeuArenaVec carving from the AEU's node-local manager):
@@ -383,8 +394,10 @@ class Aeu {
 
   AeuLoopStats stats_;
   std::atomic<uint64_t> heartbeat_{0};
-  /// Published by the loop at the end of every iteration; see IsQuiescent.
-  std::atomic<bool> quiescent_{true};
+  /// Mailbox bytes drained so far (loop-private) and the published
+  /// retirement mark; see BytesRetired.
+  uint64_t drained_bytes_ = 0;
+  std::atomic<uint64_t> retired_{0};
   const routing::CommandView* current_command_ = nullptr;
   /// Retry counts of commands whose processing hook threw, keyed by a hash
   /// of the command's identity (header fields + payload).

@@ -221,8 +221,8 @@ void Engine::ScrubberThreadMain() {
 
 void Engine::CheckAeuHealth() {
   for (routing::AeuId a = 0; a < num_aeus_; ++a) {
-    bool pending = router_->mailbox(a).PendingBytes() > 0 ||
-                   !aeus_[a]->IsQuiescent();
+    const auto [retired, written] = AeuProgress(a);
+    const bool pending = retired != written;
     AeuWatchdog::Observation obs =
         watchdog_->Observe(a, aeus_[a]->heartbeat(), pending);
     if (obs.newly_stalled) {
@@ -341,14 +341,29 @@ void Engine::Quiesce() {
       << "engine stopped making progress before it went idle";
 }
 
+std::pair<uint64_t, uint64_t> Engine::AeuProgress(routing::AeuId a) const {
+  // Retired first: every byte it covers was counted as written before the
+  // owner drained it, so the later written read can never fall behind.
+  const uint64_t retired = aeus_[a]->BytesRetired();
+  return {retired, router_->mailbox(a).BytesWritten()};
+}
+
 bool Engine::TryQuiesce(uint64_t timeout_ms) {
-  auto all_idle = [&] {
+  // One collect reads every non-stalled AEU's (retired, written) pair.
+  // The counters are monotone, so two equal collects are an atomic
+  // snapshot: at an instant between them each AEU had retired every byte
+  // delivered to it, including the follow-ups of everything it retired.
+  std::vector<std::pair<uint64_t, uint64_t>> first(num_aeus_);
+  std::vector<std::pair<uint64_t, uint64_t>> second(num_aeus_);
+  auto collect = [&](std::vector<std::pair<uint64_t, uint64_t>>* marks) {
+    bool idle = true;
     for (routing::AeuId a = 0; a < num_aeus_; ++a) {
-      if (router_->IsAeuStalled(a)) continue;
-      if (router_->mailbox(a).PendingBytes() > 0) return false;
-      if (!aeus_[a]->IsQuiescent()) return false;
+      (*marks)[a] = router_->IsAeuStalled(a)
+                        ? std::pair<uint64_t, uint64_t>{}
+                        : AeuProgress(a);
+      idle &= (*marks)[a].first == (*marks)[a].second;
     }
-    return true;
+    return idle;
   };
   const bool inline_pump =
       options_.mode == ExecutionMode::kSimulated || !started_;
@@ -358,26 +373,18 @@ bool Engine::TryQuiesce(uint64_t timeout_ms) {
           ? ~uint64_t{0}
           : start + timeout_ms * 1'000'000ull;
   uint64_t idle_passes = 0;
-  int stable = 0;
-  while (stable < 4) {
-    if (all_idle()) {
-      ++stable;
-    } else {
-      stable = 0;
-    }
+  for (;;) {
+    if (collect(&first) && collect(&second) && first == second) return true;
     if (inline_pump) {
       // A simulated engine makes all its progress here, so a no-progress
       // pass budget replaces the wall clock.
       idle_passes = PumpAll() ? 0 : idle_passes + 1;
-      if (stable == 0 && idle_passes > (1u << 16)) return false;
+      if (idle_passes > (1u << 16)) return false;
     } else {
       std::this_thread::yield();
-      // Only give up while work is actually outstanding: once the engine
-      // is idle, let the stability count finish.
-      if (stable == 0 && MonotonicNanos() > deadline) return false;
+      if (MonotonicNanos() > deadline) return false;
     }
   }
-  return true;
 }
 
 bool Engine::RebalanceAll() {

@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/spinlock.h"
@@ -150,9 +151,11 @@ class Engine {
   /// Requires durability enabled and no concurrent client writes.
   Status Snapshot();
 
-  /// Bounded Quiesce: returns true when every non-stalled AEU went idle
-  /// (stably over several passes) within `timeout_ms`, false otherwise
-  /// (a simulated engine gives up once its pumps stop making progress).
+  /// Bounded Quiesce: returns true when every non-stalled AEU was idle at
+  /// one instant within `timeout_ms` (every mailbox byte retired, checked
+  /// by a double collect of the per-AEU written/retired counters), false
+  /// otherwise (a simulated engine gives up once its pumps stop making
+  /// progress).
   /// Never CHECK-fails on a wedged engine — Stop() uses it as the drain
   /// phase of shutdown. UINT64_MAX waits without a wall-clock limit.
   bool TryQuiesce(uint64_t timeout_ms);
@@ -266,11 +269,13 @@ class Engine {
   /// Balancing cycle for every object with the engine's default config.
   bool RebalanceAll();
 
-  /// Advisory barrier: TryQuiesce without a deadline, CHECK-failing if the
-  /// engine stops making progress. Returns once every AEU mailbox is empty
-  /// and no AEU holds undelivered or deferred commands, observed stably
-  /// over several passes. AEUs the watchdog marked stalled are excluded
-  /// (their mailboxes never drain).
+  /// Barrier: TryQuiesce without a deadline, CHECK-failing if the engine
+  /// stops making progress. Returns once every AEU mailbox is empty and no
+  /// AEU holds undelivered or deferred commands — exactly, at one instant:
+  /// every byte written to each AEU's mailbox has been retired by its loop,
+  /// so every follow-up command the drained work caused has been processed
+  /// too. AEUs the watchdog marked stalled are excluded (their mailboxes
+  /// never drain).
   void Quiesce();
 
   /// One watchdog pass: observes every AEU's heartbeat and flags/unflags
@@ -424,6 +429,10 @@ class Engine {
   void BalancerThreadMain();
   void WatchdogThreadMain();
   void ScrubberThreadMain();
+
+  /// AEU `a`'s (Aeu::BytesRetired, mailbox BytesWritten) pair; the AEU is
+  /// idle iff the two are equal.
+  std::pair<uint64_t, uint64_t> AeuProgress(routing::AeuId a) const;
 
   /// Applies one WAL effect record to AEU `a`'s partitions (recovery
   /// replay). Records for objects not re-registered before Recover() —

@@ -72,6 +72,9 @@ bool IncomingBufferPair::TryWriteGather(
       dst += p.size();
     }
     ERIS_INJECT_POINT(kIncomingRelease);
+    // Count the delivery while the slot is still held: the owner's drain
+    // (and so its retirement of these bytes) is ordered after this add.
+    written_.fetch_add(total, std::memory_order_relaxed);
     // Release the writer slot; the stores to the buffer must be visible
     // before the owner sees writers reach zero.
     desc_[idx].fetch_sub(descriptor::kWriterOne, std::memory_order_release);

@@ -77,10 +77,13 @@ class IncomingBufferPair {
   size_t Drain(Fn&& fn) {
     uint32_t old_idx = writable_idx_.load(std::memory_order_relaxed);
     uint32_t new_idx = old_idx ^ 1;
-    // The processed buffer was drained previously; reactivate it.
+    // Publish the index before reactivating the previously drained buffer:
+    // a writer that finds the new buffer active then also reads the new
+    // index, so its next record cannot land in the old buffer (which
+    // drains first) and per-writer FIFO holds.
+    writable_idx_.store(new_idx, std::memory_order_release);
     desc_[new_idx].store(descriptor::Make(true, 0, 0),
                          std::memory_order_release);
-    writable_idx_.store(new_idx, std::memory_order_release);
     // A writer that read the old index here still reserves on the old
     // buffer until the deactivation below lands — the window the
     // perturbation point stretches so stress runs actually exercise it.
@@ -115,12 +118,22 @@ class IncomingBufferPair {
   void Unseal() { sealed_.store(false, std::memory_order_release); }
   bool sealed() const { return sealed_.load(std::memory_order_acquire); }
 
-  /// Bytes currently queued in the writable buffer (approximate).
+  /// Bytes currently queued in the writable buffer (approximate: a region
+  /// being drained is not counted; use BytesWritten for exact progress).
   size_t PendingBytes() const {
     uint32_t idx = writable_idx_.load(std::memory_order_acquire);
     return std::min<size_t>(
         descriptor::Offset(desc_[idx].load(std::memory_order_acquire)),
         capacity_);
+  }
+
+  /// Monotone total of bytes ever delivered into this mailbox. A writer
+  /// adds its delivery after the reservation succeeds and before it
+  /// releases its writer slot, so any region the owner drains is already
+  /// counted here. Compared against the owner's Aeu::BytesRetired by the
+  /// engine's quiescence barrier (DESIGN.md §13).
+  uint64_t BytesWritten() const {
+    return written_.load(std::memory_order_acquire);
   }
 
  private:
@@ -129,6 +142,7 @@ class IncomingBufferPair {
   std::atomic<uint64_t> desc_[2];
   std::atomic<uint32_t> writable_idx_{0};
   std::atomic<bool> sealed_{false};
+  std::atomic<uint64_t> written_{0};
 };
 
 }  // namespace eris::routing

@@ -187,6 +187,39 @@ TEST(AeuTest, QuiesceWaitsForRoutedFollowUps) {
   engine.Stop();
 }
 
+TEST(AeuTest, QuiesceWaitsForRoutedFollowUpsThreaded) {
+  // With AEU threads, the scan's routed appends are processed while the
+  // client waits in Quiesce; the barrier must not return before the last
+  // of them has landed, round after round.
+  EngineOptions opts = SimOpts();
+  opts.mode = ExecutionMode::kThreads;
+  Engine engine(opts);
+  ObjectId col = engine.CreateColumn("src");
+  ObjectId dst = engine.CreateColumn("dst");
+  engine.Start();
+  auto session = engine.CreateSession();
+  std::vector<Value> values(10000, 7);
+  session->Append(col, values);
+
+  routing::ScanParams params;
+  params.snapshot_ts = engine.oracle().ReadTs();
+  params.output = routing::ScanOutput::kAppendTo;
+  params.target_object = dst;
+  AggregateSink& sink = session->sink();
+  for (uint64_t round = 1; round <= 50; ++round) {
+    sink.Reset();
+    uint64_t expected = session->endpoint().SendScanColumn(col, params, &sink);
+    session->Wait(expected);
+    engine.Quiesce();
+    uint64_t dst_rows = 0;
+    for (routing::AeuId a = 0; a < engine.num_aeus(); ++a) {
+      dst_rows += engine.aeu(a).partition(dst)->tuple_count();
+    }
+    ASSERT_EQ(dst_rows, round * values.size()) << "round " << round;
+  }
+  engine.Stop();
+}
+
 TEST(AeuTest, LoopStatsTrackIterations) {
   Engine engine(SimOpts(1, 1));
   engine.CreateIndex("kv", 1u << 10, {.prefix_bits = 5, .key_bits = 10});

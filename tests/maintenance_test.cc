@@ -2,6 +2,11 @@
 // tracker — the paper's future-work item on using AEU idle time.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
+#include "common/fault_injection.h"
 #include "core/engine.h"
 
 namespace eris::core {
@@ -103,7 +108,30 @@ TEST(MaintenanceTest, PinnedSnapshotBlocksReclamation) {
   engine.Stop();
 }
 
+#if defined(ERIS_FAULT_INJECTION) && ERIS_FAULT_INJECTION
 TEST(MaintenanceTest, ThreadModeReclaimsEventually) {
+  // An idle AEU runs maintenance (GC) on its own partitions at any time,
+  // so the test thread touches AEU 0's partition only while that loop is
+  // parked at the top of an iteration (kAeuLoop hook), never mid-GC.
+  std::atomic<bool> hold{false};
+  std::atomic<bool> parked{false};
+  fi::FaultInjector::Global().Reset();
+  fi::FaultInjector::Global().SetHook(fi::Point::kAeuLoop, [&] {
+    const Aeu* aeu = Aeu::Current();
+    if (aeu == nullptr || aeu->id() != 0) return;
+    if (!hold.load(std::memory_order_acquire)) return;
+    parked.store(true, std::memory_order_release);
+    while (hold.load(std::memory_order_acquire)) std::this_thread::yield();
+    parked.store(false, std::memory_order_release);
+  });
+  auto with_aeu0_parked = [&](auto&& fn) {
+    hold.store(true, std::memory_order_release);
+    while (!parked.load(std::memory_order_acquire)) std::this_thread::yield();
+    fn();
+    hold.store(false, std::memory_order_release);
+    while (parked.load(std::memory_order_acquire)) std::this_thread::yield();
+  };
+
   EngineOptions opts;
   opts.topology = numa::Topology::Flat(1, 2);
   opts.mode = ExecutionMode::kThreads;
@@ -114,20 +142,24 @@ TEST(MaintenanceTest, ThreadModeReclaimsEventually) {
   session->Append(col, std::vector<Value>(100, 1));
   session->Fence();
   storage::Partition* part = engine.aeu(0).partition(col);
-  uint64_t tuples = part->tuple_count();
-  // NOTE: updating from the test thread races with the owning AEU only if
-  // the AEU touches the same column concurrently; the engine is idle here.
-  for (storage::TupleId tid = 0; tid < tuples; ++tid) {
-    part->ColumnUpdate(tid, 2, engine.oracle().NextWriteTs());
-  }
+  with_aeu0_parked([&] {
+    uint64_t tuples = part->tuple_count();
+    for (storage::TupleId tid = 0; tid < tuples; ++tid) {
+      part->ColumnUpdate(tid, 2, engine.oracle().NextWriteTs());
+    }
+  });
   // The idle AEU threads run maintenance on their own.
+  size_t undo_chains = 0;
   for (int spin = 0; spin < 200; ++spin) {
-    if (part->mvcc_column()->undo_chains() == 0) break;
+    with_aeu0_parked([&] { undo_chains = part->mvcc_column()->undo_chains(); });
+    if (undo_chains == 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_EQ(part->mvcc_column()->undo_chains(), 0u);
+  EXPECT_EQ(undo_chains, 0u);
   engine.Stop();
+  fi::FaultInjector::Global().Reset();
 }
+#endif  // ERIS_FAULT_INJECTION
 
 }  // namespace
 }  // namespace eris::core

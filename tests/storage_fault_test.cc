@@ -294,6 +294,45 @@ TEST(EngineFault, SealedWalQuarantinesAeuAndDegradesEngine) {
   engine.Stop();  // must not abort while a sealed WAL is attached
 }
 
+TEST(EngineFault, SealErrorImpliesDegradedOnReturn) {
+  // Zero acks after the seal (DESIGN.md §15) needs the engine to degrade
+  // before any waiter learns of the seal: a client that got kWalSealed
+  // must already read degraded(), with no grace period. The window is a
+  // cross-thread race, so the check repeats over fresh threaded engines.
+  InjectorGuard guard;
+  constexpr int kRounds = 30;
+  int sealed_rounds = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    TempDir tmp;
+    Engine engine(DurableOptions(tmp.path, ExecutionMode::kThreads));
+    storage::Key domain_hi = storage::Key{1} << 16;
+    ObjectId idx = engine.CreateIndex("kv", domain_hi,
+                                      {.prefix_bits = 8, .key_bits = 16});
+    engine.Start();
+    auto session = engine.CreateSession();
+    session->set_op_timeout_ns(2'000'000'000);
+    std::vector<routing::KeyValue> seed{{16, 1}};
+    ASSERT_TRUE(session->SubmitUpsert(idx, seed).ok()) << "round " << round;
+
+    fi::FaultInjector::Global().SetFailProbability(fi::Point::kIoFsyncError,
+                                                   1.0);
+    std::vector<routing::KeyValue> doomed{{17, 2}};
+    Status st = session->SubmitInsert(idx, doomed);
+    const bool degraded_on_return = engine.degraded();
+    fi::FaultInjector::Global().Reset();
+    ASSERT_FALSE(st.ok()) << "round " << round;
+    if (st.detail() == StatusDetail::kWalSealed) {
+      ++sealed_rounds;
+      EXPECT_TRUE(degraded_on_return)
+          << "round " << round << ": kWalSealed returned before the engine "
+          << "degraded";
+    }
+    engine.Stop();
+  }
+  // The seal path, not a deadline, must be what the rounds exercised.
+  EXPECT_GT(sealed_rounds, 0);
+}
+
 TEST(EngineFault, SnapshotEnospcDegradesAndHeals) {
   InjectorGuard guard;
   TempDir tmp;
